@@ -1,6 +1,6 @@
-// Benchmarks regenerating the paper's tables and figures (see the
-// experiment index in DESIGN.md), plus ablations of the design choices
-// called out there. Benchmarks use laptop-scale parameters; the
+// Benchmarks regenerating the paper's tables and figures (README.md
+// names them), plus ablations of the design choices ARCHITECTURE.md
+// describes. Benchmarks use laptop-scale parameters; the
 // cmd/gmark-bench tool runs the full paper-scale sweeps.
 package gmark_test
 
@@ -412,7 +412,7 @@ func BenchmarkWorkload(b *testing.B) {
 	})
 }
 
-// --- Ablation benchmarks (DESIGN.md section 4) ---
+// --- Ablation benchmarks: each names the design choice it measures ---
 
 // BenchmarkAblationGaussianFastPath compares the optimized
 // partial-shuffle pairing against the Fig. 5-literal full shuffle.

@@ -1,6 +1,6 @@
-// Command gmark-bench regenerates the paper's tables and figures
-// (see DESIGN.md's experiment index and EXPERIMENTS.md for recorded
-// results).
+// Command gmark-bench regenerates the paper's tables and figures (see
+// README.md for what each experiment records, and BENCH_generate.json
+// and BENCH_querygen.json for recorded results).
 //
 // Usage:
 //

@@ -83,8 +83,10 @@ func Tuples(g Source, q *query.Query, b Budget) ([][]int32, error) {
 		return nil, err
 	}
 	defer AcquireSourceReader(g)()
+	v, release := workerView(g)
+	defer release()
 	tr := newTracker(b)
-	set, err := joinTuples(g, q, tr)
+	set, err := joinTuples(v, q, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -227,6 +229,9 @@ func newScanState(n int) *scanState {
 // merge deterministically afterwards, so the parallel count equals the
 // sequential one exactly. A Boolean witness flips a shared stop flag so
 // every worker quits early, mirroring the sequential early return.
+//
+// Each worker — and the sequential loop — reads through its own
+// workerView, releasing the view's shard pins after every range.
 func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, workers, prefetch int) (int64, error) {
 	n := g.NumNodes()
 	arity := q.Arity()
@@ -255,10 +260,14 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 
 	var stop atomic.Bool
 	if workers <= 1 {
+		v, release := workerView(g)
+		defer release()
 		st := newScanState(n)
 		for i, rg := range ranges {
 			pf.Advance(i)
-			if err := scanRange(g, plans, filters, rg, st, tr, &stop); err != nil {
+			err := scanRange(v, plans, filters, rg, st, tr, &stop)
+			release()
+			if err != nil {
 				return 0, err
 			}
 			if st.witness {
@@ -277,6 +286,8 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			v, release := workerView(g)
+			defer release()
 			st := states[w]
 			for {
 				i := int(next.Add(1)) - 1
@@ -284,7 +295,9 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 					return
 				}
 				pf.Advance(i)
-				if err := scanRange(g, plans, filters, ranges[i], st, tr, &stop); err != nil {
+				err := scanRange(v, plans, filters, ranges[i], st, tr, &stop)
+				release()
+				if err != nil {
 					errs[w] = err
 					stop.Store(true)
 					return
@@ -471,10 +484,12 @@ func rangeHasStart(filters []startFilter, rg NodeRange) bool {
 	return false
 }
 
-// countJoin evaluates via the join evaluator and counts distinct head
-// tuples.
+// countJoin evaluates via the join evaluator, reading through one
+// workerView, and counts distinct head tuples.
 func countJoin(g Source, q *query.Query, tr *tracker) (int64, error) {
-	set, err := joinTuples(g, q, tr)
+	v, release := workerView(g)
+	defer release()
+	set, err := joinTuples(v, q, tr)
 	if err != nil {
 		return 0, err
 	}

@@ -384,11 +384,13 @@ func (r *Rel) Pairs() int64 {
 // For starred expressions the relation includes the identity on all
 // nodes (zero-length paths).
 func EvalExpr(g Source, e regpath.Expr, b Budget) (*Rel, error) {
-	ce, err := compileExpr(g, e)
+	v, release := workerView(g)
+	defer release()
+	ce, err := compileExpr(v, e)
 	if err != nil {
 		return nil, err
 	}
-	return evalCompiled(g, ce, newTracker(b))
+	return evalCompiled(v, ce, newTracker(b))
 }
 
 func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {

@@ -18,27 +18,37 @@ import (
 // a (spill, predicate, direction, range) key loads the shard file with
 // no lock held, while every other goroutine missing on the same key
 // blocks until that one load publishes — concurrent evaluators never
-// read the same shard file twice. Shards whose load is still in flight
-// are pinned: eviction only considers fully loaded entries, from least
-// recently used, and never the shard just admitted, so evaluation
-// always makes progress even when one shard exceeds the whole budget.
+// read the same shard file twice.
+//
+// Entries can be pinned. An evaluating goroutine's private view of a
+// SpillSource pins each shard it touches with one locked lookup, then
+// reads it by array index until the view releases its pins at the end
+// of its claimed node range. Eviction walks only loaded, unpinned
+// entries from least recently used; in-flight and pinned entries are
+// off the LRU list, so neither eviction nor Purge can touch them, and
+// the last unpin puts an entry back on the list and re-runs eviction
+// down to the budget. A shard admitted without a pin counts as pinned
+// for its own admission. Residency therefore exceeds the budget only
+// by the bytes currently pinned — one over-budget shard admitted
+// alone is the smallest case — and evaluation always makes progress.
 //
 // Entries come in two kinds. Decoded entries own heap slices and are
 // charged at their decoded size; mapped entries (raw shards under
 // -spill-mmap) serve adjacency straight out of a file mapping, are
 // charged at the mapped file size, and carry a release closure the
-// cache runs — munmap — when the entry is evicted. Because a Neighbors
-// slice may still point into a mapping at the moment its entry is
-// evicted by a concurrent evaluation, evictions that happen while any
-// reader bracket (AcquireReader) is open retire the mapping instead of
-// releasing it; the last reader to leave reclaims everything retired.
+// cache runs — munmap — when the entry is evicted. A pinned mapping is
+// never released. Because an unpinned Neighbors slice may still point
+// into a mapping at the moment its entry is evicted by a concurrent
+// evaluation, evictions that happen while any reader bracket
+// (AcquireReader) is open retire the mapping instead of releasing it;
+// the last reader to leave reclaims everything retired.
 type ShardCache struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
 	peak    int64
 	entries map[sharedShardKey]*cacheEntry
-	order   *list.List // front = most recently used; loaded entries only
+	order   *list.List // front = most recently used; loaded, unpinned entries only
 
 	hits, loads, evictions, dedups int64
 	diskLoaded                     int64 // cumulative on-disk bytes read by fresh loads
@@ -58,15 +68,18 @@ type sharedShardKey struct {
 	idx   int // position in the direction's shard list
 }
 
-// cacheEntry is one shard in the cache: loading (done open, elem nil,
-// unevictable) or loaded (done closed, elem on the LRU list). sh and
-// err are written exactly once, before done closes.
+// cacheEntry is one shard in the cache: loading (done open, sh nil)
+// or loaded (done closed, sh set). Only a loaded entry with no pins
+// sits on the LRU list (elem non-nil) and can be evicted. sh and err
+// are written exactly once, under mu, before done closes; pins and
+// elem are guarded by mu.
 type cacheEntry struct {
 	key  sharedShardKey
 	done chan struct{}
 	sh   *cachedShard
 	err  error
 	elem *list.Element
+	pins int
 }
 
 // loadOutcome classifies one cache access for per-evaluator
@@ -142,11 +155,12 @@ func (c *ShardCache) AcquireReader() (release func()) {
 	}
 }
 
-// Purge evicts every loaded shard, releasing (or retiring, under an
-// open reader bracket) their mappings, and leaves in-flight loads
-// untouched. Statistics other than residency are preserved. Callers
-// use it to return a cache to cold state — between cold-eval passes,
-// or to assert that MappedBytes drains to zero.
+// Purge evicts every loaded, unpinned shard, releasing (or retiring,
+// under an open reader bracket) their mappings, and leaves pinned
+// entries and in-flight loads untouched. Statistics other than
+// residency are preserved. Callers use it to return a cache to cold
+// state — between cold-eval passes, or to assert that MappedBytes
+// drains to zero.
 func (c *ShardCache) Purge() {
 	c.mu.Lock()
 	var drain []func()
@@ -184,21 +198,69 @@ func (c *ShardCache) evictBack() (release func()) {
 	return old.sh.release
 }
 
-// get returns the cached shard for key, calling load — with no cache
+// evictLocked evicts least-recently-used unpinned shards until
+// residency is back under the budget or nothing evictable is left, and
+// returns the mapping releases to run once mu is dropped — munmap is a
+// syscall no other cache user should wait on. Callers hold mu.
+func (c *ShardCache) evictLocked() (drain []func()) {
+	for c.used > c.budget && c.order.Len() > 0 {
+		if rel := c.evictBack(); rel != nil {
+			drain = append(drain, rel)
+		}
+	}
+	return drain
+}
+
+// pinLocked takes one pin on e, moving it off the LRU list on the
+// first. Callers hold mu.
+func (c *ShardCache) pinLocked(e *cacheEntry) {
+	if e.pins == 0 && e.elem != nil {
+		c.order.Remove(e.elem)
+		e.elem = nil
+	}
+	e.pins++
+}
+
+// unpin drops one pin from each entry. An entry whose last pin goes
+// returns to the LRU list as most recently used, and eviction then
+// re-runs down to the budget.
+func (c *ShardCache) unpin(es []*cacheEntry) {
+	c.mu.Lock()
+	for _, e := range es {
+		e.pins--
+		if e.pins == 0 {
+			e.elem = c.order.PushFront(e)
+		}
+	}
+	drain := c.evictLocked()
+	c.mu.Unlock()
+	for _, rel := range drain {
+		rel()
+	}
+}
+
+// get returns the cache entry for key, calling load — with no cache
 // lock held — when the shard is neither resident nor already being
 // loaded by another goroutine. A failed load is not cached: the next
 // access retries, and every waiter of the failed flight receives the
-// same error. prefetch marks the access as prefetcher-initiated for
+// same error. pin takes a pin on the returned entry, which the caller
+// must drop with unpin; it is registered before any wait, so the
+// shard cannot be evicted between its load and the pinning caller's
+// first read. prefetch marks the access as prefetcher-initiated for
 // the PrefetchLoads counter; it changes no caching behavior.
-func (c *ShardCache) get(key sharedShardKey, prefetch bool, load func() (*cachedShard, error)) (*cachedShard, loadOutcome, error) {
+func (c *ShardCache) get(key sharedShardKey, prefetch, pin bool, load func() (*cachedShard, error)) (*cacheEntry, loadOutcome, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
-			c.order.MoveToFront(e.elem)
+		if pin {
+			c.pinLocked(e)
+		}
+		if e.sh != nil {
+			if e.elem != nil {
+				c.order.MoveToFront(e.elem)
+			}
 			c.hits++
-			sh := e.sh
 			c.mu.Unlock()
-			return sh, loadHit, nil
+			return e, loadHit, nil
 		}
 		// Another goroutine is loading this shard right now; wait for
 		// its flight instead of reading the file a second time.
@@ -208,9 +270,12 @@ func (c *ShardCache) get(key sharedShardKey, prefetch bool, load func() (*cached
 		if e.err != nil {
 			return nil, loadDedup, e.err
 		}
-		return e.sh, loadDedup, nil
+		return e, loadDedup, nil
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
+	if pin {
+		e.pins = 1
+	}
 	c.entries[key] = e
 	c.mu.Unlock()
 
@@ -237,22 +302,17 @@ func (c *ShardCache) get(key sharedShardKey, prefetch bool, load func() (*cached
 	if c.used > c.peak {
 		c.peak = c.used
 	}
-	e.elem = c.order.PushFront(e)
-	// Evict least-recently-used loaded shards down to the budget.
-	// In-flight entries are not on the list, and the len > 1 guard
-	// keeps the shard just admitted, so an over-budget shard is still
-	// admitted alone. Releases run after the lock drops — munmap is a
-	// syscall no other cache user should wait on.
-	var drain []func()
-	for c.used > c.budget && c.order.Len() > 1 {
-		if rel := c.evictBack(); rel != nil {
-			drain = append(drain, rel)
-		}
+	// Evict down to the budget before listing the new entry, so the
+	// shard just admitted survives its own admission even when it
+	// alone exceeds the budget.
+	drain := c.evictLocked()
+	if e.pins == 0 {
+		e.elem = c.order.PushFront(e)
 	}
 	close(e.done)
 	c.mu.Unlock()
 	for _, rel := range drain {
 		rel()
 	}
-	return sh, loadFresh, nil
+	return e, loadFresh, nil
 }

@@ -39,7 +39,7 @@ func TestShardCacheConcurrentMissesOverlap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.get(key, false, loader); err != nil {
+			if _, _, err := c.get(key, false, false, loader); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -70,11 +70,12 @@ func TestShardCacheSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sh, _, err := c.get(key, false, loader)
+			e, _, err := c.get(key, false, false, loader)
 			if err != nil {
 				t.Error(err)
+				return
 			}
-			results[i] = sh
+			results[i] = e.sh
 		}(i)
 	}
 	// Release the single flight only once every other goroutine is
@@ -108,12 +109,12 @@ func TestShardCacheFailedLoadNotCached(t *testing.T) {
 	c := NewShardCache(1 << 20)
 	key := sharedShardKey{idx: 7}
 	boom := errors.New("boom")
-	if _, _, err := c.get(key, false, func() (*cachedShard, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.get(key, false, false, func() (*cachedShard, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("error not surfaced: %v", err)
 	}
-	sh, outcome, err := c.get(key, false, func() (*cachedShard, error) { return &cachedShard{bytes: 4}, nil })
-	if err != nil || sh == nil || outcome != loadFresh {
-		t.Fatalf("retry after failure: sh=%v outcome=%v err=%v", sh, outcome, err)
+	e, outcome, err := c.get(key, false, false, func() (*cachedShard, error) { return &cachedShard{bytes: 4}, nil })
+	if err != nil || e == nil || outcome != loadFresh {
+		t.Fatalf("retry after failure: entry=%v outcome=%v err=%v", e, outcome, err)
 	}
 	if st := c.Stats(); st.Loads != 1 || st.BytesUsed != 4 {
 		t.Errorf("stats after retry = %+v, want 1 load, 4 bytes", st)
@@ -128,10 +129,10 @@ func TestShardCacheEvictionAccounting(t *testing.T) {
 	load := func(bytes int64) func() (*cachedShard, error) {
 		return func() (*cachedShard, error) { return &cachedShard{bytes: bytes}, nil }
 	}
-	if _, _, err := c.get(sharedShardKey{idx: 0}, false, load(8)); err != nil {
+	if _, _, err := c.get(sharedShardKey{idx: 0}, false, false, load(8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.get(sharedShardKey{idx: 1}, false, load(8)); err != nil {
+	if _, _, err := c.get(sharedShardKey{idx: 1}, false, false, load(8)); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -143,7 +144,7 @@ func TestShardCacheEvictionAccounting(t *testing.T) {
 	}
 	// A shard larger than the whole budget still evaluates: it is
 	// admitted alone after evicting everything else.
-	if _, _, err := c.get(sharedShardKey{idx: 2}, false, load(100)); err != nil {
+	if _, _, err := c.get(sharedShardKey{idx: 2}, false, false, load(100)); err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
@@ -151,7 +152,139 @@ func TestShardCacheEvictionAccounting(t *testing.T) {
 		t.Errorf("oversized shard: %+v, want it resident alone", st)
 	}
 	// Hitting the resident shard is a hit, not a load.
-	if _, outcome, err := c.get(sharedShardKey{idx: 2}, false, load(100)); err != nil || outcome != loadHit {
+	if _, outcome, err := c.get(sharedShardKey{idx: 2}, false, false, load(100)); err != nil || outcome != loadHit {
 		t.Errorf("resident access: outcome=%v err=%v, want hit", outcome, err)
+	}
+}
+
+// TestShardCachePinSemantics: a pinned entry is never evicted — and a
+// pinned mapped entry never released — by admissions or Purge while
+// it is pinned; residency exceeds the budget only by the pinned bytes;
+// and the last unpin re-runs eviction down to the budget.
+func TestShardCachePinSemantics(t *testing.T) {
+	c := NewShardCache(10)
+	released := 0
+	mapped := func() (*cachedShard, error) {
+		return &cachedShard{bytes: 8, release: func() { released++ }}, nil
+	}
+	decoded := func() (*cachedShard, error) { return &cachedShard{bytes: 8}, nil }
+
+	// Two pins on one mapped shard: the loader's and a later hit's.
+	pinned, _, err := c.get(sharedShardKey{idx: 0}, false, true, mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome, err := c.get(sharedShardKey{idx: 0}, false, true, mapped); err != nil || outcome != loadHit {
+		t.Fatalf("second pin: outcome=%v err=%v, want hit", outcome, err)
+	}
+	// Unpinned admissions past the budget evict each other, never the
+	// pinned shard.
+	for i := 1; i <= 3; i++ {
+		if _, _, err := c.get(sharedShardKey{idx: i}, false, false, decoded); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if st.BytesUsed != 16 || st.Evictions != int64(i-1) {
+			t.Fatalf("admission %d: %+v, want the pinned shard plus the newest resident", i, st)
+		}
+	}
+	c.Purge()
+	if st := c.Stats(); st.BytesUsed != 8 || st.MappedBytes != 8 || released != 0 {
+		t.Fatalf("after Purge: %+v, released=%d, want the pinned mapped shard resident", st, released)
+	}
+	if _, outcome, err := c.get(sharedShardKey{idx: 0}, false, false, mapped); err != nil || outcome != loadHit {
+		t.Fatalf("pinned shard after Purge: outcome=%v err=%v, want hit", outcome, err)
+	}
+
+	// Dropping one of two pins leaves the shard pinned.
+	c.unpin([]*cacheEntry{pinned})
+	if st := c.Stats(); st.BytesUsed != 8 || released != 0 {
+		t.Fatalf("one pin left: %+v, released=%d, want the shard still resident", st, released)
+	}
+	// Over budget while pinned: the pinned bytes are the overshoot.
+	if _, _, err := c.get(sharedShardKey{idx: 4}, false, false, decoded); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.BytesUsed != 16 || released != 0 {
+		t.Fatalf("before the last unpin: %+v, released=%d, want 16 bytes resident", st, released)
+	}
+	c.unpin([]*cacheEntry{pinned})
+	st := c.Stats()
+	if st.BytesUsed > 10 {
+		t.Fatalf("after the last unpin: %d bytes resident, budget 10", st.BytesUsed)
+	}
+	// The unpinned shard rejoined the LRU list as most recently used,
+	// so eviction took the older decoded shard and kept the mapping.
+	if st.MappedBytes != 8 || released != 0 {
+		t.Fatalf("after the last unpin: %+v, released=%d, want the mapping kept as most recently used", st, released)
+	}
+	c.Purge()
+	if released != 1 {
+		t.Fatalf("Purge of the unpinned mapping released it %d times, want 1", released)
+	}
+}
+
+// TestShardCachePinnedWhileInFlight: a pin taken by a goroutine that
+// waits on another goroutine's load holds the shard from the moment
+// the load publishes, so no admission in between can evict it.
+func TestShardCachePinnedWhileInFlight(t *testing.T) {
+	c := NewShardCache(10)
+	key := sharedShardKey{idx: 0}
+	release := make(chan struct{})
+	loaded := make(chan *cacheEntry, 1)
+	go func() {
+		e, _, err := c.get(key, false, false, func() (*cachedShard, error) {
+			<-release
+			return &cachedShard{bytes: 8}, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		loaded <- e
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		_, inFlight := c.entries[key]
+		c.mu.Unlock()
+		if inFlight {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("load never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waited := make(chan *cacheEntry, 1)
+	go func() {
+		e, outcome, err := c.get(key, false, true, nil)
+		if err != nil || outcome != loadDedup {
+			t.Errorf("waiter: outcome=%v err=%v, want a dedup hit", outcome, err)
+		}
+		waited <- e
+	}()
+	for c.Stats().DedupHits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the in-flight load")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-loaded
+	e := <-waited
+	if e == nil {
+		t.Fatal("waiter got no entry")
+	}
+	if _, _, err := c.get(sharedShardKey{idx: 1}, false, false, func() (*cachedShard, error) {
+		return &cachedShard{bytes: 8}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome, err := c.get(key, false, false, nil); err != nil || outcome != loadHit {
+		t.Fatalf("pinned shard after an over-budget admission: outcome=%v err=%v, want hit", outcome, err)
+	}
+	c.unpin([]*cacheEntry{e})
+	if st := c.Stats(); st.BytesUsed > 10 {
+		t.Fatalf("after unpin: %d bytes resident, budget 10", st.BytesUsed)
 	}
 }

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,7 +179,8 @@ func TestSpillSourceUnknownPredicate(t *testing.T) {
 
 // TestSpillSourceMissingShard: deleting a shard file out from under an
 // opened source must surface as an error from CountOverSpill, never a
-// silent short count.
+// silent short count — sequentially and with two workers, whose views
+// hit the missing file concurrently.
 func TestSpillSourceMissingShard(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 200)
 	dir := filepath.Join(t.TempDir(), "csr")
@@ -187,13 +191,13 @@ func TestSpillSourceMissingShard(t *testing.T) {
 	if _, err := graphgen.Emit(cfg, graphgen.Options{Seed: 1}, sink); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenSpillSource(dir, 0)
+	spill, err := graphgen.OpenCSRSpill(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Remove every forward shard of the first predicate.
 	removed := 0
-	for _, sh := range src.spill.Manifest.Predicates[0].Fwd {
+	for _, sh := range spill.Manifest.Predicates[0].Fwd {
 		if err := os.Remove(filepath.Join(dir, sh.File)); err == nil {
 			removed++
 		}
@@ -206,18 +210,24 @@ func TestSpillSourceMissingShard(t *testing.T) {
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(pname)}},
 	}}}
-	if _, err := CountOverSpill(src, q, Budget{}); err == nil {
-		t.Fatal("missing shard file should fail the evaluation")
-	}
-	if src.Err() == nil {
-		t.Fatal("sticky load error not recorded")
+	for _, workers := range []int{1, 2} {
+		src, err := OpenSpillSource(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: workers}); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("workers=%d: missing shard file gave %v, want a not-exist error", workers, err)
+		}
+		if !errors.Is(src.Err(), fs.ErrNotExist) {
+			t.Fatalf("workers=%d: sticky load error = %v, want the not-exist error", workers, src.Err())
+		}
 	}
 }
 
 // TestSpillSourceTruncatedManifest: a manifest whose shard list does
 // not cover the node range (structural corruption rather than a load
 // failure) must also trip the sticky error — a broken spill must never
-// read as a sparse one.
+// read as a sparse one — sequentially and with two workers.
 func TestSpillSourceTruncatedManifest(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 200)
 	dir := filepath.Join(t.TempDir(), "csr")
@@ -228,21 +238,24 @@ func TestSpillSourceTruncatedManifest(t *testing.T) {
 	if _, err := graphgen.Emit(cfg, graphgen.Options{Seed: 1}, sink); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenSpillSource(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwd := src.spill.Manifest.Predicates[0].Fwd
-	if len(fwd) < 2 {
-		t.Fatalf("want multiple shards, got %d", len(fwd))
-	}
-	src.spill.Manifest.Predicates[0].Fwd = fwd[:1] // drop coverage
 	pname := cfg.Schema.Predicates[0].Name
 	q := &query.Query{Rules: []query.Rule{{
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(pname)}},
 	}}}
-	if _, err := CountOverSpill(src, q, Budget{}); err == nil {
-		t.Fatal("truncated manifest returned a count instead of an error")
+	for _, workers := range []int{1, 2} {
+		src, err := OpenSpillSource(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd := src.spill.Manifest.Predicates[0].Fwd
+		if len(fwd) < 2 {
+			t.Fatalf("want multiple shards, got %d", len(fwd))
+		}
+		src.spill.Manifest.Predicates[0].Fwd = fwd[:1] // drop coverage
+		_, err = CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "outside spill range") {
+			t.Fatalf("workers=%d: truncated manifest gave %v, want a shard-range error", workers, err)
+		}
 	}
 }

@@ -26,7 +26,10 @@ const DefaultSpillCacheBytes = 256 << 20
 // may share one source (or several sources sharing one ShardCache via
 // NewSpillSourceWith), and they share shard residency — a miss one
 // evaluator pays is a hit for every other, and simultaneous misses on
-// one shard collapse into a single file read.
+// one shard collapse into a single file read. Count, Tuples and
+// EvalExpr do not call Neighbors directly: each of their evaluating
+// goroutines reads through a private view (spillView) that pins a
+// shard on first touch and indexes it locally afterwards.
 type SpillSource struct {
 	// Per-evaluator attribution: accesses this source initiated,
 	// regardless of how many sources share the cache. First in the
@@ -44,6 +47,12 @@ type SpillSource struct {
 	// platforms that would map.
 	useMmap   bool
 	forceRead bool
+
+	// shardCounts[2*pred+inv] is the manifest's shard count for one
+	// (predicate, direction), and maxShards the largest of them: the
+	// bounds and the row stride of every worker view's handle table.
+	shardCounts []int
+	maxShards   int
 
 	mu             sync.Mutex
 	domainRebuilds int64
@@ -86,10 +95,10 @@ type cachedShard struct {
 }
 
 // SpillCacheStats reports shard-cache behavior: how many lookups hit a
-// resident shard, how many shard files were loaded (including reloads
-// after eviction), how many misses were deduplicated against another
-// goroutine's in-flight load of the same shard (DedupHits — these read
-// no file), and the eviction count. Loads == distinct shards touched
+// resident shard (Hits), how many shard files were loaded (including
+// reloads after eviction), how many misses were deduplicated against
+// another goroutine's in-flight load of the same shard (DedupHits —
+// these read no file), and the eviction count. Loads == distinct shards touched
 // when nothing was evicted, for any number of concurrent evaluations.
 // BytesUsed and PeakBytes are current and peak resident bytes — always
 // the decoded []int32 size, so `-eval-cache-mb` stays a residency
@@ -104,6 +113,13 @@ type cachedShard struct {
 // those entries charge their mapped file size, and eviction returns
 // the bytes by munmap. PrefetchLoads is the subset of Loads a
 // background prefetcher initiated rather than the scan itself.
+//
+// A lookup is one locked access to the cache, not one Neighbors call.
+// Evaluation reads through per-worker views that pin a shard on first
+// touch and index it locally afterwards, so Count, Tuples and EvalExpr
+// add one Hits per (worker, claimed range, shard) they read from a
+// resident shard. Only direct SpillSource.Neighbors calls (the engines'
+// scan loops) and prefetches still cost a lookup each.
 type SpillCacheStats struct {
 	Hits            int64
 	Loads           int64
@@ -177,8 +193,11 @@ func NewSpillSourceOpt(spill *graphgen.CSRSpill, cache *ShardCache, opt SpillSou
 		useMmap:   opt.Mmap,
 		domains:   make(map[domainKey]*bitset.Set),
 	}
+	s.shardCounts = make([]int, 0, 2*len(spill.Manifest.Predicates))
 	for i, p := range spill.Manifest.Predicates {
 		s.predIndex[p.Name] = graph.PredID(i)
+		s.shardCounts = append(s.shardCounts, len(p.Fwd), len(p.Bwd))
+		s.maxShards = max(s.maxShards, len(p.Fwd), len(p.Bwd))
 	}
 	return s
 }
@@ -306,10 +325,15 @@ func (s *SpillSource) Neighbors(v graph.NodeID, p graph.PredID, inverse bool) []
 		return nil
 	}
 	idx := int(v) / shardNodes
-	sh, err := s.shard(shardKey{pred: p, inv: inverse, idx: idx}, false)
+	e, err := s.shard(shardKey{pred: p, inv: inverse, idx: idx}, false, false)
 	if err != nil {
 		return nil
 	}
+	return s.row(e.sh, v, idx)
+}
+
+// row returns v's adjacency row in sh, the shard at position idx.
+func (s *SpillSource) row(sh *cachedShard, v graph.NodeID, idx int) []int32 {
 	local := int(v) - int(sh.lo)
 	if local < 0 || local+1 >= len(sh.off) {
 		// Manifest Lo disagreeing with idx*ShardNodes, or a shard
@@ -388,16 +412,17 @@ func (s *SpillSource) PrefetchRange(rg NodeRange, preds []PredDir) {
 	}
 	idx := int(rg.Lo) / shardNodes
 	for _, pd := range preds {
-		_, _ = s.shard(shardKey{pred: pd.Pred, inv: pd.Inv, idx: idx}, true)
+		_, _ = s.shard(shardKey{pred: pd.Pred, inv: pd.Inv, idx: idx}, true, false)
 	}
 }
 
-// shard resolves key against the manifest and fetches it through the
-// shared cache; the file read happens with no lock held, and
-// simultaneous misses on one shard collapse into a single read.
+// shard resolves key against the manifest and fetches its cache entry
+// through the shared cache; the file read happens with no lock held,
+// and simultaneous misses on one shard collapse into a single read.
 // prefetch marks a prefetcher-initiated access: its loads count as
-// PrefetchLoads and its failures are not sticky.
-func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
+// PrefetchLoads and its failures are not sticky. pin pins the entry
+// for a worker view, which must unpin it.
+func (s *SpillSource) shard(key shardKey, prefetch, pin bool) (*cacheEntry, error) {
 	meta, err := s.shardMeta(key)
 	if err != nil {
 		if !prefetch {
@@ -405,9 +430,9 @@ func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
 		}
 		return nil, err
 	}
-	sh, outcome, err := s.cache.get(
+	e, outcome, err := s.cache.get(
 		sharedShardKey{spill: s.spill, pred: key.pred, inv: key.inv, idx: key.idx},
-		prefetch,
+		prefetch, pin,
 		func() (*cachedShard, error) {
 			if s.useMmap {
 				sh, handled, err := s.loadRawShard(meta)
@@ -458,13 +483,13 @@ func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
 			s.localPrefetch.Add(1)
 		}
 	}
-	return sh, nil
+	return e, nil
 }
 
 // shardMeta resolves key against the manifest (read-only after open).
 func (s *SpillSource) shardMeta(key shardKey) (graphgen.CSRShard, error) {
 	preds := s.spill.Manifest.Predicates
-	if int(key.pred) >= len(preds) {
+	if key.pred < 0 || int(key.pred) >= len(preds) {
 		return graphgen.CSRShard{}, fmt.Errorf("eval: spill has no predicate %d", key.pred)
 	}
 	shards := preds[key.pred].Fwd

@@ -1,5 +1,5 @@
 // Package experiments implements one driver per table and figure of
-// the paper's evaluation (Sections 6 and 7), as indexed in DESIGN.md.
+// the paper's evaluation (Sections 6 and 7), as listed in README.md.
 // Each driver returns structured rows and has a text renderer that
 // prints the same layout the paper reports. The bench harness
 // (bench_test.go) and the gmark-bench command both call into this

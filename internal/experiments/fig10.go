@@ -15,7 +15,8 @@ import (
 
 // SP2BenchQueries returns the three fixed queries standing in for the
 // original SP2Bench query load of Fig. 10, one per selectivity class,
-// expressed over our SP schema encoding (DESIGN.md substitution #3):
+// expressed over the built-in sp use case's schema (internal/usecases;
+// ARCHITECTURE.md's package map lists the use cases):
 //
 //	constant:  journals linked by a citation between their articles
 //	linear:    inproceedings paired with the editors of their venue
